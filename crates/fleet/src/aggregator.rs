@@ -19,7 +19,6 @@ use std::time::{Duration, Instant};
 use obs::derive::{Monitor, Predicate, Rule};
 use obs::openmetrics::{from_exported, render, MetricKind, Value};
 use obs::stitch::{self, FanoutTrace};
-use pcp_wire::pool::{BoundedQueue, Pop};
 use pcp_wire::scrape::{HttpResponse, RequestHandler, CONTENT_TYPE};
 use pcp_wire::{ScrapeListener, WireClient};
 use store::{SeriesKey, Store, StoreConfig};
@@ -296,68 +295,27 @@ impl Aggregator {
         // --- fan out ----------------------------------------------------
         // obs-ok: runtime-gated pass tracing, see pass_span above.
         let fanout_span = trace_on.then(|| obs::span!(stitch::PASS_FANOUT_SPAN));
-        let queue: BoundedQueue<usize> = BoundedQueue::new(self.targets.len().max(1));
-        for i in 0..self.targets.len() {
-            let _ = queue.try_push(i);
-        }
-        queue.close();
         let workers = self.cfg.workers.max(1);
-        let mut slots: Vec<Option<Result<HostScrape, String>>> =
-            (0..self.targets.len()).map(|_| None).collect();
-        let mut latencies: Vec<(usize, u64)> = Vec::with_capacity(self.targets.len());
-        std::thread::scope(|scope| {
-            let queue = &queue;
-            let this = &*self;
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut done = Vec::new();
-                        loop {
-                            match queue.pop_timeout(Duration::from_millis(10)) {
-                                Pop::Item(i) => {
-                                    let child = stitch::fanout_child_id(pass_id, i as u64);
-                                    let started = Instant::now();
-                                    let result = {
-                                        // obs-ok: runtime-gated pass tracing, see pass_span above.
-                                        let _host = trace_on.then(|| {
-                                            // obs-ok: runtime-gated pass tracing
-                                            obs::span!(stitch::HOST_SCRAPE_SPAN, child)
-                                        });
-                                        this.scrape_one(
-                                            &this.targets[i],
-                                            if trace_on { child } else { 0 },
-                                        )
-                                    };
-                                    if trace_on && result.is_err() {
-                                        // obs-ok: runtime-gated pass tracing,
-                                        // see pass_span above.
-                                        obs::instant!(stitch::HOST_FAIL_INSTANT, child);
-                                    }
-                                    let lat = started.elapsed().as_nanos().min(u64::MAX as u128);
-                                    done.push((i, result, lat as u64));
-                                }
-                                Pop::TimedOut => {}
-                                Pop::Closed => return done,
-                            }
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                if let Ok(list) = h.join() {
-                    for (i, result, lat) in list {
-                        slots[i] = Some(result);
-                        latencies.push((i, lat));
-                    }
-                }
+        let slots = crate::claim_each(self.targets.len(), workers, |i| {
+            let child = stitch::fanout_child_id(pass_id, i as u64);
+            let started = Instant::now();
+            let result = {
+                // obs-ok: runtime-gated pass tracing, see pass_span above.
+                let _host = trace_on.then(|| obs::span!(stitch::HOST_SCRAPE_SPAN, child));
+                self.scrape_one(&self.targets[i], if trace_on { child } else { 0 })
+            };
+            if trace_on && result.is_err() {
+                // obs-ok: runtime-gated pass tracing, see pass_span above.
+                obs::instant!(stitch::HOST_FAIL_INSTANT, child);
             }
+            let lat = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+            (result, lat)
         });
         drop(fanout_span);
         // Record latencies in host index order: the histogram is
         // order-insensitive, but deterministic iteration costs nothing.
-        latencies.sort_unstable_by_key(|&(i, _)| i);
-        for &(_, lat) in &latencies {
-            self.scrape_latency.record(lat);
+        for (_, lat) in slots.iter().flatten() {
+            self.scrape_latency.record(*lat);
         }
 
         // --- classify ---------------------------------------------------
@@ -365,7 +323,7 @@ impl Aggregator {
         let scrapes: Vec<Option<HostScrape>> = slots
             .into_iter()
             .enumerate()
-            .map(|(i, slot)| match slot {
+            .map(|(i, slot)| match slot.map(|(result, _)| result) {
                 Some(Ok(s)) => {
                     self.scrape_ok.inc();
                     self.targets[i].stale.set(0);

@@ -14,8 +14,9 @@
 //!   `(fleet seed, host index)`. Hostnames are deterministic:
 //!   `tellico-0000`, `tellico-0001`, …
 //! * An [`Aggregator`] shards scrapes across the hosts with a bounded
-//!   worker pool (the same [`pcp_wire::pool::BoundedQueue`] discipline
-//!   as the servers), pulls each host's exposition over the
+//!   worker pool whose threads claim host indices from one atomic
+//!   counter (the parallel experiment runner's idiom, so no worker ever
+//!   waits on a timer), pulls each host's exposition over the
 //!   `Pdu::Exposition` channel, relabels every series with
 //!   `host="tellico-XXXX"`, and merges the results into one document.
 //!   The merge is index-addressed and therefore **byte-identical to a
@@ -48,6 +49,49 @@ pub use aggregator::{Aggregator, AggregatorConfig, PassReport};
 pub use debug::{DebugPlane, PassRecord, DEFAULT_DEBUG_PASSES};
 pub use host::{host_name, host_seed, Fleet, SimHost};
 pub use merge::{merge_parallel, merge_reference, relabel, HostScrape, MergeOutcome};
+
+/// Run `job(i)` for every `i in 0..n` on `workers` scoped threads that
+/// claim indices from one atomic counter, and return the results in
+/// index-addressed slots. A slot is `None` only if the worker that
+/// claimed it panicked. Scheduling affects wall-clock time only: the
+/// slots are the same for any worker count.
+pub(crate) fn claim_each<T: Send>(
+    n: usize,
+    workers: usize,
+    job: impl Fn(usize) -> T + Sync,
+) -> Vec<Option<T>> {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.clamp(1, n.max(1)))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // relaxed-ok: pure job-ticket counter; results
+                        // travel back through the scoped join, which
+                        // orders them, and fetch_add cannot hand out
+                        // duplicates.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return done;
+                        }
+                        done.push((i, job(i)));
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            if let Ok(list) = h.join() {
+                for (i, r) in list {
+                    slots[i] = Some(r);
+                }
+            }
+        }
+    });
+    slots
+}
 
 /// Why a fleet could not be spawned or served.
 #[derive(Debug)]

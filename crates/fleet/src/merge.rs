@@ -22,10 +22,8 @@
 //!   would render an unparseable document.
 
 use std::collections::HashMap;
-use std::time::Duration;
 
 use obs::openmetrics::{MetricKind, OmSample};
-use pcp_wire::pool::{BoundedQueue, Pop};
 
 /// One host's parsed exposition, ready to merge.
 #[derive(Clone, Debug, PartialEq)]
@@ -111,8 +109,8 @@ pub fn merge_reference(scrapes: &[Option<HostScrape>]) -> MergeOutcome {
     )
 }
 
-/// Relabel hosts on `workers` threads (host indices sharded through a
-/// [`BoundedQueue`]), scatter the results into index-addressed slots,
+/// Relabel hosts on `workers` threads (host indices claimed from one
+/// atomic counter), scatter the results into index-addressed slots,
 /// then run the same sequential fold as [`merge_reference`]. Worker
 /// count affects wall-clock only, never the output.
 pub fn merge_parallel(scrapes: &[Option<HostScrape>], workers: usize) -> MergeOutcome {
@@ -120,45 +118,12 @@ pub fn merge_parallel(scrapes: &[Option<HostScrape>], workers: usize) -> MergeOu
     if workers == 1 || scrapes.len() <= 1 {
         return merge_reference(scrapes);
     }
-    let queue: BoundedQueue<usize> = BoundedQueue::new(scrapes.len());
-    for i in 0..scrapes.len() {
-        // Cannot fail: the queue is sized to hold every index.
-        let _ = queue.try_push(i);
-    }
-    // Closed-with-backlog: workers drain the queued indices and then
-    // see `Closed` — no shutdown flag needed.
-    queue.close();
-
-    let mut slots: Vec<Option<(Vec<OmSample>, u64)>> = (0..scrapes.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let queue = &queue;
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut done: Vec<(usize, (Vec<OmSample>, u64))> = Vec::new();
-                    loop {
-                        match queue.pop_timeout(Duration::from_millis(10)) {
-                            Pop::Item(i) => {
-                                if let Some(s) = &scrapes[i] {
-                                    done.push((i, relabel(s.samples.clone(), &s.host)));
-                                }
-                            }
-                            Pop::TimedOut => {}
-                            Pop::Closed => return done,
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            if let Ok(list) = h.join() {
-                for (i, r) in list {
-                    slots[i] = Some(r);
-                }
-            }
-        }
+    let slots = crate::claim_each(scrapes.len(), workers, |i| {
+        scrapes[i]
+            .as_ref()
+            .map(|s| relabel(s.samples.clone(), &s.host))
     });
-    merge_slots(slots)
+    merge_slots(slots.into_iter().map(Option::flatten).collect())
 }
 
 #[cfg(test)]

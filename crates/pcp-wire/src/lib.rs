@@ -11,12 +11,17 @@
 //!   with a bad magic, unknown version, oversized length, or truncated
 //!   payload are rejected with an error, never a panic or an unbounded
 //!   allocation.
-//! * [`server`] — [`PmcdServer`]: accepts on a `TcpListener`, serves each
-//!   client from a bounded worker pool with read/write timeouts and
-//!   per-fetch batch limits (backpressure), survives malformed input and
-//!   mid-request disconnects, shuts down gracefully, and exports its own
+//! * [`server`] — [`PmcdServer`]: serves each client from a bounded
+//!   worker pool with read/write timeouts and per-fetch batch limits
+//!   (backpressure), survives malformed input and mid-request
+//!   disconnects, shuts down gracefully, and exports its own
 //!   operational counters (`pmcd.*`) through the same PMNS it serves —
 //!   the daemon profiles itself.
+//! * `listener` — the one listener core under both servers: a blocking
+//!   accept feeds a bounded queue, a full queue sheds the connection at
+//!   the door (`Error{Busy}` / `503`), and shutdown wakes the accept by
+//!   dialling it. Nothing on the accept or worker-wait path polls a
+//!   timer.
 //! * [`pool`] — [`BoundedQueue`]: the worker-pool connection queue. Its
 //!   mutex/condvar come from the vendored loom shim under `--cfg loom`,
 //!   so `tests/loom_pool.rs` can model-check the accept/shutdown path
@@ -34,6 +39,7 @@
 //! tests hermetically with no external dependencies and no tokio.
 
 pub mod client;
+mod listener;
 pub mod logger;
 pub mod pdu;
 pub mod pool;

@@ -12,13 +12,13 @@
 //! * [`BoundedQueue::try_push`] never blocks — a full queue returns the
 //!   item back as [`PushError::Full`] so the accept loop can shed load at
 //!   the door (`Error{Busy}`).
-//! * [`BoundedQueue::pop_timeout`] blocks a worker until an item arrives,
-//!   the timeout tick elapses (so the worker can notice the shutdown
-//!   flag), or the queue is closed *and drained* — already-accepted
-//!   connections are still served during a graceful shutdown.
+//! * [`BoundedQueue::pop`] blocks a worker until an item arrives or the
+//!   queue is closed *and drained* — already-accepted connections are
+//!   still served during a graceful shutdown. There is no timeout tick:
+//!   a push wakes one waiting worker and [`BoundedQueue::close`] wakes
+//!   them all.
 
 use std::collections::VecDeque;
-use std::time::Duration;
 
 #[cfg(loom)]
 use loom::sync::{Condvar, Mutex};
@@ -33,17 +33,6 @@ pub enum PushError<T> {
     Full(T),
     /// The queue was closed — the server is shutting down.
     Closed(T),
-}
-
-/// Outcome of a [`BoundedQueue::pop_timeout`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum Pop<T> {
-    /// An item was dequeued.
-    Item(T),
-    /// The tick elapsed with the queue open but empty.
-    TimedOut,
-    /// The queue is closed and fully drained — the worker should exit.
-    Closed,
 }
 
 struct State<T> {
@@ -88,36 +77,24 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Dequeue, waiting up to `timeout` for an item. A closed queue still
-    /// yields its remaining items before reporting [`Pop::Closed`].
-    pub fn pop_timeout(&self, timeout: Duration) -> Pop<T> {
+    /// Dequeue, waiting for an item. A closed queue still yields its
+    /// remaining items; `None` means closed and fully drained — the
+    /// worker should exit.
+    pub fn pop(&self) -> Option<T> {
         let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(item) = s.items.pop_front() {
-                return Pop::Item(item);
+                return Some(item);
             }
             if s.closed {
-                return Pop::Closed;
+                return None;
             }
-            let (guard, result) = self
-                .cond
-                .wait_timeout(s, timeout)
-                .unwrap_or_else(|e| e.into_inner());
-            s = guard;
-            if result.timed_out() {
-                // One more non-blocking look: the notify may have raced
-                // with the timeout.
-                return match s.items.pop_front() {
-                    Some(item) => Pop::Item(item),
-                    None if s.closed => Pop::Closed,
-                    None => Pop::TimedOut,
-                };
-            }
+            s = self.cond.wait(s).unwrap_or_else(|e| e.into_inner());
         }
     }
 
-    /// Close the queue: further pushes fail, and consumers see
-    /// [`Pop::Closed`] once the backlog drains. Idempotent.
+    /// Close the queue: further pushes fail, and consumers see `None`
+    /// from [`BoundedQueue::pop`] once the backlog drains. Idempotent.
     pub fn close(&self) {
         let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
         s.closed = true;
@@ -144,6 +121,7 @@ impl<T> BoundedQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn push_pop_round_trip() {
@@ -151,9 +129,9 @@ mod tests {
         q.try_push(1).expect("push 1");
         q.try_push(2).expect("push 2");
         assert_eq!(q.try_push(3), Err(PushError::Full(3)));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Pop::Item(1));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Pop::Item(2));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Pop::TimedOut);
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(2));
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -162,8 +140,8 @@ mod tests {
         q.try_push(7).expect("push");
         q.close();
         assert_eq!(q.try_push(8), Err(PushError::Closed(8)));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Pop::Item(7));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Pop::Closed);
+        assert_eq!(q.pop(), Some(7));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -172,14 +150,14 @@ mod tests {
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let q = Arc::clone(&q);
-                std::thread::spawn(move || q.pop_timeout(Duration::from_secs(30)))
+                std::thread::spawn(move || q.pop())
             })
             .collect();
         // Give the consumers a moment to block, then close.
         std::thread::sleep(Duration::from_millis(20));
         q.close();
         for h in handles {
-            assert_eq!(h.join().expect("join consumer"), Pop::Closed);
+            assert_eq!(h.join().expect("join consumer"), None);
         }
     }
 
@@ -191,14 +169,10 @@ mod tests {
             .map(|_| {
                 let q = Arc::clone(&q);
                 let total = Arc::clone(&total);
-                std::thread::spawn(move || loop {
-                    match q.pop_timeout(Duration::from_millis(200)) {
-                        Pop::Item(v) => {
-                            // relaxed-ok: test tally, read after joins.
-                            total.fetch_add(v, std::sync::atomic::Ordering::Relaxed);
-                        }
-                        Pop::TimedOut => {}
-                        Pop::Closed => return,
+                std::thread::spawn(move || {
+                    while let Some(v) = q.pop() {
+                        // relaxed-ok: test tally, read after joins.
+                        total.fetch_add(v, std::sync::atomic::Ordering::Relaxed);
                     }
                 })
             })

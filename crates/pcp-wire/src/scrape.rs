@@ -10,10 +10,12 @@
 //! `GET /metrics` (or `/`) answered with `200` and
 //! `application/openmetrics-text`, unknown paths with `404`, non-GET
 //! methods with `405`, a malformed request line with `400`, always
-//! `Connection: close`. Backpressure reuses the same [`BoundedQueue`]
-//! discipline as the PDU server: accepted sockets queue for a small
-//! worker pool, and when the queue is full the connection is shed at
-//! the door with `503` (counted by `wire.scrape.shed`).
+//! `Connection: close`. The transport is the same listener core as the
+//! PDU server's (`crate::listener`): a blocking accept queues sockets
+//! for a small worker pool, and when the queue is full the connection
+//! is shed at the door with `503` (counted by `wire.scrape.shed`).
+//! Shutdown wakes the accept by dialling it, so an idle listener stops
+//! at once; a worker mid-request leaves within its 2 s socket timeout.
 //!
 //! [`ScrapeListener::bind_handler`] generalises the route table: a
 //! handler maps request-targets to [`HttpResponse`]s, which is how the
@@ -23,12 +25,10 @@
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::pool::{BoundedQueue, Pop, PushError};
+use crate::listener::{Backlog, ListenerCore, Service};
 use crate::server::{exposition_text, unix_ns, PmcdServer};
 
 /// OpenMetrics content type served with every `200`.
@@ -92,11 +92,7 @@ const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// The HTTP sidecar serving a PMCD's exposition.
 pub struct ScrapeListener {
-    local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    queue: Arc<BoundedQueue<TcpStream>>,
-    accept_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    core: ListenerCore,
 }
 
 impl ScrapeListener {
@@ -119,7 +115,7 @@ impl ScrapeListener {
     }
 
     /// Bind serving an arbitrary exposition provider — the transport
-    /// (accept loop, bounded queue, shed-at-the-door 503, HTTP framing)
+    /// (listener core, bounded queue, shed-at-the-door 503, HTTP framing)
     /// without the PMCD coupling, on the canonical `/metrics` + `/`
     /// route table.
     pub fn bind_provider<A: ToSocketAddrs>(
@@ -146,104 +142,48 @@ impl ScrapeListener {
     ) -> std::io::Result<Self> {
         assert!(workers >= 1, "scrape listener needs at least one worker");
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let queue = Arc::new(BoundedQueue::new(pending.max(1)));
-
-        let mut out = ScrapeListener {
-            local_addr,
-            shutdown: Arc::clone(&shutdown),
-            queue: Arc::clone(&queue),
-            accept_thread: None,
-            workers: Vec::with_capacity(workers),
-        };
-        for i in 0..workers {
-            let handler = Arc::clone(&handler);
-            let queue = Arc::clone(&queue);
-            let shutdown = Arc::clone(&shutdown);
-            let handle = std::thread::Builder::new()
-                .name(format!("pmcd-scrape-{i}"))
-                .spawn(move || worker_loop(&handler, &queue, &shutdown));
-            match handle {
-                Ok(h) => out.workers.push(h),
-                Err(e) => return Err(e),
-            }
-        }
-        let accept_shutdown = Arc::clone(&shutdown);
-        let accept_queue = Arc::clone(&queue);
-        out.accept_thread = Some(
-            std::thread::Builder::new()
-                .name("pmcd-scrape-accept".into())
-                .spawn(move || accept_loop(listener, &accept_queue, &accept_shutdown))?,
-        );
-        Ok(out)
+        let core = ListenerCore::spawn(
+            listener,
+            Backlog::new(pending),
+            Arc::new(Http(handler)),
+            workers,
+            "pmcd-scrape",
+        )?;
+        Ok(ScrapeListener { core })
     }
 
     /// The address to point `curl`/Prometheus at.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.core.local_addr()
     }
 
     /// Stop accepting, drain queued connections, join every thread.
-    /// Idempotent; also runs on drop.
+    /// Returns at once when no request is in flight. Idempotent; also
+    /// runs on drop.
     pub fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        self.queue.close();
-        for t in self.workers.drain(..) {
-            let _ = t.join();
-        }
+        self.core.shutdown();
     }
 }
 
-impl Drop for ScrapeListener {
-    fn drop(&mut self) {
-        self.shutdown();
+/// The HTTP service a [`ScrapeListener`]'s core runs.
+struct Http(RequestHandler);
+
+impl Service for Http {
+    fn accepted(&self) {
+        obs::counter!("wire.scrape.requests").inc();
     }
-}
 
-fn accept_loop(listener: TcpListener, queue: &BoundedQueue<TcpStream>, shutdown: &AtomicBool) {
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                obs::counter!("wire.scrape.requests").inc();
-                match queue.try_push(stream) {
-                    Ok(()) => {}
-                    Err(PushError::Full(stream)) => shed(stream),
-                    Err(PushError::Closed(_)) => break,
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-        }
+    /// Queue full: answer 503 and close, mirroring the PDU server's
+    /// shed-at-the-door policy.
+    fn shed(&self, mut stream: TcpStream) {
+        obs::counter!("wire.scrape.shed").inc();
+        let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+        let _ = stream
+            .write_all(response(503, "Service Unavailable", "scraper at capacity\n").as_bytes());
     }
-}
 
-/// Queue full: answer 503 and close, mirroring the PDU server's
-/// shed-at-the-door policy.
-fn shed(mut stream: TcpStream) {
-    obs::counter!("wire.scrape.shed").inc();
-    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-    let _ =
-        stream.write_all(response(503, "Service Unavailable", "scraper at capacity\n").as_bytes());
-}
-
-fn worker_loop(handler: &RequestHandler, queue: &BoundedQueue<TcpStream>, shutdown: &AtomicBool) {
-    loop {
-        match queue.pop_timeout(Duration::from_millis(50)) {
-            Pop::Item(stream) => serve_scrape(handler, stream),
-            Pop::TimedOut => {
-                if shutdown.load(Ordering::SeqCst) && queue.is_empty() {
-                    return;
-                }
-            }
-            Pop::Closed => return,
-        }
+    fn serve(&self, stream: TcpStream) {
+        serve_scrape(&self.0, stream);
     }
 }
 
@@ -443,6 +383,21 @@ mod tests {
             .and_then(|s| s.parse().ok())
             .expect("status code");
         (status, head.to_string(), body.to_string())
+    }
+
+    /// With no request in flight, shutdown is a wake-up: it joins every
+    /// thread within 10 ms, on a loopback and on an unspecified bind.
+    #[test]
+    fn idle_shutdown_returns_within_10ms_on_any_bind_address() {
+        for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let provider: ExpositionProvider = Arc::new(|| "# EOF\n".to_string());
+            let mut listener =
+                ScrapeListener::bind_provider(addr, provider, 2, 4).expect("bind provider");
+            let t0 = std::time::Instant::now();
+            listener.shutdown();
+            let took = t0.elapsed();
+            assert!(took <= Duration::from_millis(10), "{addr}: {took:?}");
+        }
     }
 
     #[test]

@@ -2,18 +2,22 @@
 //!
 //! Architecture (std only, no async runtime):
 //!
-//! * an **accept thread** runs a nonblocking `TcpListener` poll loop. New
-//!   connections go into a bounded queue; when every worker is busy and
-//!   the queue is full the server answers `Error{Busy}` and closes — load
-//!   is shed at the door instead of queueing unboundedly.
-//! * a **bounded worker pool** (default 32 threads) pulls connections off
-//!   the queue. One worker serves one client at a time, request by
-//!   request, so each client has at most one fetch in flight; batch size
-//!   is additionally capped by [`WireConfig::max_fetch_batch`]. That pair
-//!   of bounds is the backpressure story.
-//! * every socket read carries a **timeout tick** so workers notice the
-//!   shutdown flag promptly; [`PmcdServer::shutdown`] stops the accept
-//!   loop, drains the workers, and joins every thread.
+//! * the **listener core** (`crate::listener`, shared with the HTTP
+//!   sidecar) blocks in `accept` and queues each new connection in a
+//!   bounded queue; when every worker is busy and the queue is full the
+//!   server answers `Error{Busy}` and closes — load is shed at the door
+//!   instead of queueing unboundedly (`pmcd.queue.shed`).
+//! * a **bounded worker pool** (default 32 threads) blocks on the queue
+//!   and is woken per connection. One worker serves one client at a
+//!   time, request by request, so each client has at most one fetch in
+//!   flight; batch size is additionally capped by
+//!   [`WireConfig::max_fetch_batch`]. That pair of bounds is the
+//!   backpressure story.
+//! * [`PmcdServer::shutdown`] wakes the blocked accept with a dial to
+//!   its own address, lets idle workers drain the queue, and joins every
+//!   thread — an idle server stops at once. A worker still serving a
+//!   live client leaves at that socket's next read-timeout tick
+//!   ([`WireConfig::read_timeout`]).
 //! * a malformed PDU earns the offending client an `Error{BadPdu}` and a
 //!   closed connection — other clients are unaffected, the server stays
 //!   up. Disconnects mid-request are absorbed the same way.
@@ -25,9 +29,8 @@
 
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use p9_memsim::machine::SocketShared;
@@ -35,10 +38,10 @@ use p9_memsim::{Direction, PrivilegeError, PrivilegeToken};
 use pcp_sim::pmns::{InstanceId, MetricId, MetricSemantics, Pmns};
 use pcp_sim::selfmetrics::{self, LATENCY_BUCKETS};
 
+use crate::listener::{Backlog, ListenerCore, Service};
 use crate::pdu::{
     read_pdu, write_pdu, ErrorCode, Pdu, WireError, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
-use crate::pool::{BoundedQueue, Pop, PushError};
 
 /// Base of the reserved id range for the server's self-metrics. The PMNS
 /// table indexes from zero, so anything at or above this base is a
@@ -113,8 +116,11 @@ pub struct WireConfig {
     /// Accepted connections that may wait for a free worker before the
     /// server starts answering `Error{Busy}`.
     pub pending: usize,
-    /// Per-read timeout tick. Bounds how long a worker can ignore the
-    /// shutdown flag; not an idle-disconnect timeout.
+    /// Per-read timeout tick on a client socket. A worker serving a
+    /// live connection checks the shutdown flag on each tick, so this
+    /// bounds how long [`PmcdServer::shutdown`] waits for such a worker
+    /// (idle workers and the accept thread are woken at once). Not an
+    /// idle-disconnect timeout.
     pub read_timeout: Duration,
     /// Per-write timeout; a client that stops draining its socket is
     /// disconnected rather than wedging a worker.
@@ -237,15 +243,15 @@ pub(crate) struct Shared {
     sockets: Vec<Arc<SocketShared>>,
     config: WireConfig,
     stats: ServerStats,
-    /// The accept queue, visible to workers so `pmcd.queue.depth` can be
-    /// fetched like any other metric.
-    queue: Arc<BoundedQueue<TcpStream>>,
+    /// The listener core's queue and shutdown flag, visible to workers
+    /// so `pmcd.queue.depth` can be fetched like any other metric and a
+    /// live connection ends at its next read tick after shutdown.
+    backlog: Arc<Backlog>,
     /// Registry exported as `pmcd.obs.*`: the process-global one by
     /// default, or a private registry when many servers share one
     /// process (the fleet simulator gives each host its own so host
     /// expositions stay independent and deterministic).
     registry: Option<Arc<obs::Registry>>,
-    shutdown: AtomicBool,
 }
 
 impl Shared {
@@ -303,10 +309,7 @@ impl From<std::io::Error> for ServerError {
 /// export.
 pub struct PmcdServer {
     shared: Arc<Shared>,
-    queue: Arc<BoundedQueue<TcpStream>>,
-    local_addr: SocketAddr,
-    accept_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    core: ListenerCore,
 }
 
 impl PmcdServer {
@@ -339,51 +342,18 @@ impl PmcdServer {
         assert!(config.workers >= 1, "server needs at least one worker");
         assert!(config.max_fetch_batch >= 1);
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
-
-        let queue = Arc::new(BoundedQueue::new(config.pending));
+        let backlog = Backlog::new(config.pending);
         let shared = Arc::new(Shared {
             pmns,
             sockets,
-            config: config.clone(),
             stats: ServerStats::default(),
-            queue: Arc::clone(&queue),
+            backlog: Arc::clone(&backlog),
             registry,
-            shutdown: AtomicBool::new(false),
+            config,
         });
-
-        let mut server = PmcdServer {
-            shared: Arc::clone(&shared),
-            queue: Arc::clone(&queue),
-            local_addr,
-            accept_thread: None,
-            workers: Vec::with_capacity(config.workers),
-        };
-
-        for i in 0..config.workers {
-            let shared = Arc::clone(&shared);
-            let queue = Arc::clone(&queue);
-            let handle = std::thread::Builder::new()
-                .name(format!("pmcd-worker-{i}"))
-                .spawn(move || worker_loop(shared, queue));
-            match handle {
-                Ok(h) => server.workers.push(h),
-                // Partial construction: `server` drops here, which joins
-                // the workers already spawned.
-                Err(e) => return Err(ServerError::Io(e)),
-            }
-        }
-
-        let accept_shared = Arc::clone(&shared);
-        let accept_queue = Arc::clone(&queue);
-        let accept_thread = std::thread::Builder::new()
-            .name("pmcd-accept".into())
-            .spawn(move || accept_loop(listener, accept_shared, accept_queue))
-            .map_err(ServerError::Io)?;
-        server.accept_thread = Some(accept_thread);
-
-        Ok(server)
+        let workers = shared.config.workers;
+        let core = ListenerCore::spawn(listener, backlog, Arc::clone(&shared), workers, "pmcd")?;
+        Ok(PmcdServer { shared, core })
     }
 
     /// Bind as the *system* would (mints the elevated token itself) —
@@ -419,7 +389,7 @@ impl PmcdServer {
 
     /// The address clients should connect to.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.core.local_addr()
     }
 
     /// Current operational counters.
@@ -430,7 +400,7 @@ impl PmcdServer {
     /// Connections currently waiting for a free worker (also fetchable
     /// by any client as `pmcd.queue.depth`).
     pub fn queue_depth(&self) -> usize {
-        self.queue.len()
+        self.shared.backlog.len()
     }
 
     /// The OpenMetrics exposition this server would serve right now —
@@ -449,40 +419,21 @@ impl PmcdServer {
 
     /// Stop accepting, finish in-flight requests, join every thread.
     /// Already-queued connections are still served (graceful drain).
-    /// Idempotent; also runs on drop.
+    /// Returns at once when no client is connected; a worker serving a
+    /// live client leaves at its next [`WireConfig::read_timeout`]
+    /// tick. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        // With the accept loop gone nothing produces any more; closing
-        // lets workers drain the backlog and then exit.
-        self.queue.close();
-        for t in self.workers.drain(..) {
-            let _ = t.join();
-        }
+        self.core.shutdown();
     }
 }
 
-impl Drop for PmcdServer {
-    fn drop(&mut self) {
-        self.shutdown();
+impl Service for Shared {
+    fn shed(&self, stream: TcpStream) {
+        reject_busy(self, stream);
     }
-}
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>, queue: Arc<BoundedQueue<TcpStream>>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => match queue.try_push(stream) {
-                Ok(()) => {}
-                Err(PushError::Full(stream)) => reject_busy(&shared, stream),
-                Err(PushError::Closed(_)) => break,
-            },
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-        }
+    fn serve(&self, stream: TcpStream) {
+        serve_client(self, stream);
     }
 }
 
@@ -490,7 +441,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, queue: Arc<BoundedQue
 fn reject_busy(shared: &Shared, mut stream: TcpStream) {
     bump(&shared.stats.clients_rejected);
     #[cfg(feature = "obs")]
-    obs::instant!("pmcd.shed", shared.queue.len() as u64);
+    obs::instant!("pmcd.shed", shared.backlog.len() as u64);
     let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
     let frame = Pdu::Error {
         code: ErrorCode::Busy,
@@ -498,20 +449,6 @@ fn reject_busy(shared: &Shared, mut stream: TcpStream) {
     }
     .encode();
     let _ = stream.write_all(&frame);
-}
-
-fn worker_loop(shared: Arc<Shared>, queue: Arc<BoundedQueue<TcpStream>>) {
-    loop {
-        match queue.pop_timeout(Duration::from_millis(50)) {
-            Pop::Item(stream) => serve_client(&shared, stream),
-            Pop::TimedOut => {
-                if shared.shutdown.load(Ordering::SeqCst) && queue.is_empty() {
-                    return;
-                }
-            }
-            Pop::Closed => return,
-        }
-    }
 }
 
 /// Serve one client connection to completion. Never panics on client
@@ -546,7 +483,7 @@ fn serve_client_inner(shared: &Shared, mut stream: TcpStream, client_id: u64) {
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                if shared.shutdown.load(Ordering::SeqCst) {
+                if shared.backlog.is_shutting_down() {
                     return;
                 }
                 continue;
@@ -801,7 +738,7 @@ pub(crate) fn exposition_text(shared: &Shared, scrape_ts_ns: u64) -> String {
     let mut samples: Vec<OmSample> = Vec::with_capacity(SELF_METRICS.len() + export.len());
     for (idx, &(name, _units, semantics)) in SELF_METRICS.iter().enumerate() {
         let value = match idx {
-            QUEUE_DEPTH_IDX => shared.queue.len() as u64,
+            QUEUE_DEPTH_IDX => shared.backlog.len() as u64,
             QUEUE_SHED_IDX => peek(&shared.stats.clients_rejected),
             _ => shared.stats.value(idx).unwrap_or(0),
         };
@@ -845,7 +782,7 @@ fn fetch_one(
     }
     if id >= SELF_METRIC_BASE {
         return match (id - SELF_METRIC_BASE) as usize {
-            QUEUE_DEPTH_IDX => Some(shared.queue.len() as u64),
+            QUEUE_DEPTH_IDX => Some(shared.backlog.len() as u64),
             QUEUE_SHED_IDX => Some(peek(&shared.stats.clients_rejected)),
             idx => shared.stats.value(idx),
         };
@@ -907,12 +844,11 @@ mod tests {
     use p9_arch::Machine;
     use p9_memsim::SimMachine;
 
-    fn start_server(config: WireConfig) -> (SimMachine, PmcdServer) {
+    fn start_server(addr: &str, config: WireConfig) -> (SimMachine, PmcdServer) {
         let m = SimMachine::quiet(Machine::summit(), 1);
         let pmns = Pmns::for_machine(m.arch());
         let sockets = (0..m.num_sockets()).map(|s| m.socket_shared(s)).collect();
-        let server =
-            PmcdServer::bind_system("127.0.0.1:0", pmns, sockets, config).expect("bind server");
+        let server = PmcdServer::bind_system(addr, pmns, sockets, config).expect("bind server");
         (m, server)
     }
 
@@ -931,19 +867,30 @@ mod tests {
         assert!(err.is_err());
     }
 
+    /// With no client connected, shutdown is a wake-up, not a wait for
+    /// a poll or read tick: it joins every thread within 10 ms, on a
+    /// loopback and on an unspecified bind.
     #[test]
     fn shutdown_joins_all_threads() {
-        let (_m, mut server) = start_server(WireConfig::default());
-        server.shutdown();
-        server.shutdown(); // idempotent
+        for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let (_m, mut server) = start_server(addr, WireConfig::default());
+            let t0 = Instant::now();
+            server.shutdown();
+            let took = t0.elapsed();
+            assert!(took <= Duration::from_millis(10), "{addr}: {took:?}");
+            server.shutdown(); // idempotent
+        }
     }
 
     #[test]
     fn drop_shuts_down_cleanly() {
-        let (_m, server) = start_server(WireConfig {
-            workers: 2,
-            ..WireConfig::default()
-        });
+        let (_m, server) = start_server(
+            "127.0.0.1:0",
+            WireConfig {
+                workers: 2,
+                ..WireConfig::default()
+            },
+        );
         drop(server); // must not hang
     }
 

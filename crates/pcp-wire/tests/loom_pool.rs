@@ -12,18 +12,12 @@
 //!    `Error{Busy}` PDU).
 //! 2. **Graceful shutdown** — `close()` racing with consumers never loses
 //!    an accepted item and never strands a worker: every queued item is
-//!    delivered exactly once, then every worker observes `Pop::Closed`.
+//!    delivered exactly once, then every worker observes `None` (closed).
 #![cfg(loom)]
-
-use std::time::Duration;
 
 use loom::sync::Arc;
 use loom::thread;
-use pcp_wire::pool::{BoundedQueue, Pop, PushError};
-
-/// Long enough that a wait only ends via notify; the models close the
-/// queue, so no schedule leaves a consumer waiting this long.
-const TICK: Duration = Duration::from_secs(30);
+use pcp_wire::pool::{BoundedQueue, PushError};
 
 #[test]
 fn capacity_overflow_is_rejected_not_blocked() {
@@ -69,9 +63,9 @@ fn push_racing_close_is_accepted_or_cleanly_refused() {
         // An accepted item survives the close (backlog drains first); a
         // refused one leaves the queue empty. Nothing in between.
         if accepted {
-            assert_eq!(q.pop_timeout(TICK), Pop::Item(1));
+            assert_eq!(q.pop(), Some(1));
         }
-        assert_eq!(q.pop_timeout(TICK), Pop::Closed);
+        assert_eq!(q.pop(), None);
     });
 }
 
@@ -86,13 +80,10 @@ fn shutdown_delivers_backlog_exactly_once_then_releases_workers() {
                 let q = Arc::clone(&q);
                 thread::spawn(move || {
                     let mut got = Vec::new();
-                    loop {
-                        match q.pop_timeout(TICK) {
-                            Pop::Item(v) => got.push(v),
-                            Pop::TimedOut => {}
-                            Pop::Closed => return got,
-                        }
+                    while let Some(v) = q.pop() {
+                        got.push(v);
                     }
+                    got
                 })
             })
             .collect();
@@ -103,7 +94,7 @@ fn shutdown_delivers_backlog_exactly_once_then_releases_workers() {
             .collect();
         delivered.sort_unstable();
         // Exactly-once delivery across both workers, and both workers
-        // reached `Closed` (the joins above would hang otherwise).
+        // reached `None` (the joins above would hang otherwise).
         assert_eq!(delivered, vec![1, 2]);
         assert!(q.is_empty());
     });

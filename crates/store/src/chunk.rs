@@ -21,6 +21,19 @@
 //! is strictly increasing in time *by construction*, which is what lets
 //! the delta-of-delta stay a signed 64-bit quantity and every reader
 //! skip chunks by `[min_t, max_t]` alone.
+//!
+//! Two encoders write the format. [`encode`] turns a finished run into
+//! a chunk and is the reference. [`Encoder`] is the streaming form the
+//! engine's ingest heads append to, one sample at a time, so an open
+//! head costs its compressed size rather than 16 bytes per sample; its
+//! sealed chunk is byte-equal to [`encode`] over the same run.
+//!
+//! A [`Chunk`] does not own its bytes: it holds a range of a shared
+//! `Arc<[u8]>`, which is the segment file once the chunk is flushed
+//! (see [`crate::segment::write`]), so sealed history is resident once.
+
+use std::ops::Range;
+use std::sync::Arc;
 
 use crate::StoreError;
 use obs::series::Sample;
@@ -79,19 +92,55 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// An immutable compressed run of samples from one series.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// An immutable compressed run of samples from one series: a range of
+/// a shared buffer plus the header re-derived from it. Equality
+/// compares the encoded bytes, not which buffer holds them.
+#[derive(Clone)]
 pub struct Chunk {
-    bytes: Vec<u8>,
+    data: Arc<[u8]>,
+    range: Range<usize>,
     min_t: u64,
     max_t: u64,
     count: u32,
 }
 
+impl PartialEq for Chunk {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes() == other.bytes()
+            && (self.min_t, self.max_t, self.count) == (other.min_t, other.max_t, other.count)
+    }
+}
+
+impl Eq for Chunk {}
+
+impl std::fmt::Debug for Chunk {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Chunk")
+            .field("bytes", &self.bytes())
+            .field("min_t", &self.min_t)
+            .field("max_t", &self.max_t)
+            .field("count", &self.count)
+            .finish()
+    }
+}
+
 impl Chunk {
+    /// A chunk owning `bytes` (already encoded) with a known header.
+    fn owned(bytes: Vec<u8>, min_t: u64, max_t: u64, count: u32) -> Self {
+        Chunk {
+            range: 0..bytes.len(),
+            data: bytes.into(),
+            min_t,
+            max_t,
+            count,
+        }
+    }
+
     /// The encoded bytes.
     pub fn bytes(&self) -> &[u8] {
-        &self.bytes
+        // An out-of-range slice is impossible by construction; an empty
+        // fallback keeps the no-panic rule without a runtime cost.
+        self.data.get(self.range.clone()).unwrap_or_default()
     }
 
     /// Timestamp of the first sample.
@@ -114,27 +163,48 @@ impl Chunk {
         self.min_t <= to && self.max_t >= from
     }
 
-    /// Reconstruct a chunk from its encoded bytes (segment decode path).
-    /// The header is re-derived by a full decode so a corrupt payload
-    /// surfaces as a typed error here rather than at query time.
+    /// Reconstruct a chunk from its encoded bytes.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, StoreError> {
-        let samples = decode(&bytes)?;
+        let len = bytes.len();
+        Self::from_shared(bytes.into(), 0..len)
+    }
+
+    /// Reconstruct a chunk from `data[range]` without copying it (the
+    /// segment decode path). The header is re-derived by a full decode
+    /// so a corrupt payload surfaces as a typed error here rather than
+    /// at query time.
+    pub fn from_shared(data: Arc<[u8]>, range: Range<usize>) -> Result<Self, StoreError> {
+        let bytes = data
+            .get(range.clone())
+            .ok_or(StoreError::Corrupt("chunk range outside its buffer"))?;
+        let samples = decode(bytes)?;
         let (Some(first), Some(last)) = (samples.first(), samples.last()) else {
             return Err(StoreError::Corrupt("chunk encodes zero samples"));
         };
         let count = u32::try_from(samples.len())
             .map_err(|_| StoreError::Corrupt("chunk sample count overflows u32"))?;
         Ok(Chunk {
-            bytes,
             min_t: first.t_ns,
             max_t: last.t_ns,
             count,
+            data,
+            range,
         })
+    }
+
+    /// The same chunk, reading its bytes from `data` at `start`, where
+    /// the caller has just copied them (a segment file being written).
+    pub(crate) fn rebased(&self, data: &Arc<[u8]>, start: usize) -> Chunk {
+        Chunk {
+            data: Arc::clone(data),
+            range: start..start + self.range.len(),
+            ..*self
+        }
     }
 
     /// Decode every sample, oldest first.
     pub fn samples(&self) -> Result<Vec<Sample>, StoreError> {
-        decode(&self.bytes)
+        decode(self.bytes())
     }
 }
 
@@ -202,12 +272,86 @@ pub fn encode(samples: &[Sample]) -> Result<Chunk, StoreError> {
         prev_dt = dt;
         prev = *s;
     }
-    Ok(Chunk {
-        bytes,
-        min_t: first.t_ns,
-        max_t: last.t_ns,
-        count,
-    })
+    Ok(Chunk::owned(bytes, first.t_ns, last.t_ns, count))
+}
+
+/// The streaming form of [`encode`]: a per-series ingest head appends
+/// samples one at a time, and [`Encoder::seal`] hands back exactly the
+/// chunk [`encode`] would build from the same run.
+#[derive(Debug, Default)]
+pub struct Encoder {
+    /// Everything after the leading `varint(count)`, which is written
+    /// only when the chunk is cut.
+    body: Vec<u8>,
+    count: u32,
+    min_t: u64,
+    last_t: u64,
+    last_v: u64,
+    last_dt: i64,
+}
+
+impl Encoder {
+    /// Append one sample. A timestamp that does not advance, or a gap
+    /// wider than `i64::MAX`, is rejected (with [`encode`]'s errors)
+    /// and leaves the encoder unchanged.
+    pub fn push(&mut self, t_ns: u64, value: u64) -> Result<(), StoreError> {
+        if self.count == 0 {
+            put_varint(&mut self.body, t_ns);
+            put_varint(&mut self.body, value);
+            self.min_t = t_ns;
+        } else {
+            if t_ns <= self.last_t {
+                return Err(StoreError::OutOfOrder {
+                    last_t_ns: self.last_t,
+                    t_ns,
+                });
+            }
+            if self.count == u32::MAX {
+                return Err(StoreError::Corrupt("too many samples"));
+            }
+            let dt = i64::try_from(t_ns - self.last_t)
+                .map_err(|_| StoreError::Corrupt("timestamp gap over i64"))?;
+            put_varint(&mut self.body, zigzag(dt.wrapping_sub(self.last_dt)));
+            put_varint(&mut self.body, value ^ self.last_v);
+            self.last_dt = dt;
+        }
+        self.count += 1;
+        self.last_t = t_ns;
+        self.last_v = value;
+        Ok(())
+    }
+
+    /// Samples appended since the last seal.
+    pub fn len(&self) -> usize {
+        self.count as usize
+    }
+
+    /// True when nothing was appended since the last seal.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The chunk of every sample appended since the last seal, leaving
+    /// the encoder as it is (how a query reads an open head).
+    pub fn chunk(&self) -> Result<Chunk, StoreError> {
+        if self.count == 0 {
+            return Err(StoreError::EmptyChunk);
+        }
+        let mut bytes = Vec::with_capacity(5 + self.body.len());
+        put_varint(&mut bytes, u64::from(self.count));
+        bytes.extend_from_slice(&self.body);
+        Ok(Chunk::owned(bytes, self.min_t, self.last_t, self.count))
+    }
+
+    /// Cut the chunk of every sample appended since the last seal and
+    /// start the next one. The buffer keeps its capacity for reuse.
+    pub fn seal(&mut self) -> Result<Chunk, StoreError> {
+        let chunk = self.chunk()?;
+        self.body.clear();
+        self.count = 0;
+        self.last_dt = 0;
+        Ok(chunk)
+    }
 }
 
 #[cfg(test)]
@@ -275,6 +419,29 @@ mod tests {
         assert!(Chunk::from_bytes(long).is_err());
         // Zero-count payload.
         assert!(Chunk::from_bytes(vec![0]).is_err());
+    }
+
+    #[test]
+    fn streaming_encoder_seals_the_reference_bytes() {
+        let samples = vec![s(10, u64::MAX), s(11, 0), s(400, 7), s(401, 1 << 63)];
+        let mut enc = Encoder::default();
+        assert!(matches!(enc.seal(), Err(StoreError::EmptyChunk)));
+        for x in &samples {
+            enc.push(x.t_ns, x.value).unwrap();
+        }
+        // A rejected sample leaves the encoder untouched.
+        assert!(matches!(
+            enc.push(401, 9),
+            Err(StoreError::OutOfOrder { .. })
+        ));
+        assert_eq!(enc.len(), 4);
+        assert_eq!(enc.chunk().unwrap(), encode(&samples).unwrap());
+        let sealed = enc.seal().unwrap();
+        assert_eq!(sealed.bytes(), encode(&samples).unwrap().bytes());
+        assert!(enc.is_empty());
+        // The next chunk starts from scratch: no delta carried over.
+        enc.push(1_000, 5).unwrap();
+        assert_eq!(enc.seal().unwrap(), encode(&[s(1_000, 5)]).unwrap());
     }
 
     #[test]

@@ -1,21 +1,25 @@
 //! The storage engine: ingest heads → sealed chunks → segment files,
 //! with retention/compaction that never blocks readers.
 //!
-//! Write path: every series has a *head* (an uncompressed in-order
-//! sample buffer). When a head reaches `chunk_samples` it is sealed
-//! into an immutable compressed [`Chunk`](crate::chunk::Chunk) and
-//! staged; when the staging area reaches `segment_bytes` the staged
-//! entries are encoded into one segment file on the in-memory FS and
-//! the segment list is republished. Out-of-order and zero-dt samples
-//! are rejected at the door (`store.ingest.out_of_order`), so every
-//! structure downstream is strictly time-ordered by construction.
+//! Write path: every series has a *head*, a streaming
+//! [`Encoder`] that compresses each sample as it
+//! arrives. When a head reaches `chunk_samples` it is sealed into an
+//! immutable compressed [`Chunk`](crate::chunk::Chunk) and staged; when
+//! the staging area reaches `segment_bytes` the staged entries are
+//! written as one segment file on the in-memory FS, their chunks
+//! rebased onto the file's bytes, and the segment list is republished.
+//! So a sample is resident once, compressed: in its head, then staged,
+//! then in its segment file. Every chunk and head of a series shares
+//! one `Arc<SeriesKey>`. Out-of-order and zero-dt samples are rejected
+//! at the door (`store.ingest.out_of_order`), so every structure
+//! downstream is strictly time-ordered by construction.
 //!
 //! Read path: queries clone the current `Arc` segment list (one short
-//! lock) and copy the matching head tails (another short lock), then
-//! decompress outside any lock. Compaction builds replacement segments
-//! off to the side and swaps the list in one lock acquisition —
-//! readers holding the old list keep reading the old immutable
-//! segments, whose bytes outlive their files (see
+//! lock) and copy the matching staged chunks and head bytes (another
+//! short lock), then decompress outside any lock. Compaction builds
+//! replacement segments off to the side and swaps the list in one lock
+//! acquisition — readers holding the old list keep reading the old
+//! immutable segments, whose bytes outlive their files (see
 //! [`MemFs`](crate::memfs::MemFs)).
 //!
 //! Retention is chunk-granular: a chunk is dropped only when its whole
@@ -29,16 +33,12 @@ use std::sync::{Arc, Mutex};
 use obs::metrics::ExportSemantics;
 use obs::series::Sample;
 
-use crate::chunk::{self, RAW_SAMPLE_BYTES};
+use crate::chunk::{self, Encoder, RAW_SAMPLE_BYTES};
 use crate::index::{Selector, SeriesKey};
 use crate::memfs::MemFs;
 use crate::query::SeriesData;
 use crate::segment::{self, Entry, Segment};
 use crate::StoreError;
-
-/// Copied-out live head tail: series identity plus its uncompressed,
-/// in-order sample buffer.
-type HeadTail = (SeriesKey, ExportSemantics, Vec<Sample>);
 
 /// Engine tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -62,33 +62,44 @@ impl Default for StoreConfig {
     }
 }
 
-/// Per-series ingest head: the uncompressed tail of the series.
+/// Per-series ingest head: the open, compressed tail of the series.
 #[derive(Debug)]
 struct Head {
+    key: Arc<SeriesKey>,
     semantics: ExportSemantics,
-    samples: Vec<Sample>,
+    enc: Encoder,
     /// Newest timestamp ever ingested for this series — survives
     /// seals, so ordering is enforced across chunk boundaries too.
     last_t: Option<u64>,
 }
 
+impl Head {
+    /// Cut the open chunk into an entry.
+    fn seal(&mut self) -> Result<Entry, StoreError> {
+        Ok(Entry {
+            key: Arc::clone(&self.key),
+            semantics: self.semantics,
+            chunk: self.enc.seal()?,
+        })
+    }
+}
+
 /// Everything the write path mutates, under one lock.
 #[derive(Debug, Default)]
 struct Ingest {
-    heads: BTreeMap<SeriesKey, Head>,
+    heads: BTreeMap<Arc<SeriesKey>, Head>,
     staging: Vec<Entry>,
     staging_bytes: usize,
     next_seq: u64,
     out_of_order: u64,
 }
 
-impl Default for Head {
-    fn default() -> Self {
-        Head {
-            semantics: ExportSemantics::Instant,
-            samples: Vec::new(),
-            last_t: None,
-        }
+impl Ingest {
+    /// Stage a freshly sealed chunk for the next segment flush.
+    fn stage(&mut self, entry: Entry) {
+        obs::counter!("store.chunk.sealed").inc();
+        self.staging_bytes += entry.chunk.bytes().len();
+        self.staging.push(entry);
     }
 }
 
@@ -193,11 +204,13 @@ impl Store {
     ) -> Result<(), StoreError> {
         let mut ingest = self.ingest.lock().unwrap_or_else(|e| e.into_inner());
         if !ingest.heads.contains_key(key) {
+            let key = Arc::new(key.clone());
             ingest.heads.insert(
-                key.clone(),
+                Arc::clone(&key),
                 Head {
+                    key,
                     semantics,
-                    samples: Vec::new(),
+                    enc: Encoder::default(),
                     last_t: None,
                 },
             );
@@ -215,20 +228,12 @@ impl Store {
                 });
             }
         }
+        head.enc.push(t_ns, value)?;
         head.last_t = Some(t_ns);
-        head.samples.push(Sample { t_ns, value });
         obs::counter!("store.ingest.samples").inc();
-        if head.samples.len() >= self.cfg.chunk_samples {
-            let semantics = head.semantics;
-            let chunk = chunk::encode(&head.samples)?;
-            head.samples.clear();
-            obs::counter!("store.chunk.sealed").inc();
-            ingest.staging_bytes += chunk.bytes().len();
-            ingest.staging.push(Entry {
-                key: key.clone(),
-                semantics,
-                chunk,
-            });
+        if head.enc.len() >= self.cfg.chunk_samples {
+            let entry = head.seal()?;
+            ingest.stage(entry);
             if ingest.staging_bytes >= self.cfg.segment_bytes {
                 self.flush_staging(&mut ingest)?;
             }
@@ -265,26 +270,14 @@ impl Store {
     /// cold-readable. Idempotent when nothing is pending.
     pub fn flush(&self) -> Result<(), StoreError> {
         let mut ingest = self.ingest.lock().unwrap_or_else(|e| e.into_inner());
-        let keys: Vec<SeriesKey> = ingest
+        let sealed = ingest
             .heads
-            .iter()
-            .filter(|(_, h)| !h.samples.is_empty())
-            .map(|(k, _)| k.clone())
-            .collect();
-        for key in keys {
-            let Some(head) = ingest.heads.get_mut(&key) else {
-                continue;
-            };
-            let semantics = head.semantics;
-            let chunk = chunk::encode(&head.samples)?;
-            head.samples.clear();
-            obs::counter!("store.chunk.sealed").inc();
-            ingest.staging_bytes += chunk.bytes().len();
-            ingest.staging.push(Entry {
-                key,
-                semantics,
-                chunk,
-            });
+            .values_mut()
+            .filter(|h| !h.enc.is_empty())
+            .map(Head::seal)
+            .collect::<Result<Vec<_>, _>>()?;
+        for entry in sealed {
+            ingest.stage(entry);
         }
         if !ingest.staging.is_empty() {
             self.flush_staging(&mut ingest)?;
@@ -301,14 +294,7 @@ impl Store {
         }
         let name = format!("seg-{:08}.pseg", ingest.next_seq);
         ingest.next_seq += 1;
-        let bytes = segment::encode(&entries);
-        let len = bytes.len();
-        self.fs.create(&name, bytes)?;
-        let seg = Arc::new(Segment {
-            file: name,
-            bytes: len,
-            entries,
-        });
+        let seg = Arc::new(segment::write(&self.fs, name, entries)?);
         let mut sealed = self.sealed.lock().unwrap_or_else(|e| e.into_inner());
         let mut list = Vec::with_capacity(sealed.len() + 1);
         list.extend(sealed.iter().cloned());
@@ -331,7 +317,7 @@ impl Store {
     pub fn stats(&self) -> StoreStats {
         let segments = self.segments();
         let ingest = self.ingest.lock().unwrap_or_else(|e| e.into_inner());
-        let head_samples: u64 = ingest.heads.values().map(|h| h.samples.len() as u64).sum();
+        let head_samples: u64 = ingest.heads.values().map(|h| h.enc.len() as u64).sum();
         let sealed_samples: u64 = segments.iter().map(|s| s.samples()).sum();
         let staged: u64 = ingest
             .staging
@@ -378,26 +364,29 @@ impl Store {
     ) -> Result<Vec<SeriesData>, StoreError> {
         obs::counter!("store.query.count").inc();
         let started = std::time::Instant::now();
-        // Copy matching tails (staged chunks are cheap Arc-less clones
-        // of compressed bytes; heads are small by construction). This
+        // Copy matching tails (staged chunks are `Arc` clones; heads
+        // copy out their compressed bytes, small by construction). This
         // must happen BEFORE the segment list is cloned: a concurrent
         // flush moves staging into a new segment, so tail-then-list can
         // only double-see samples (deduped below), never miss them.
-        let (staged, heads): (Vec<Entry>, Vec<HeadTail>) = {
+        let tails: Vec<Entry> = {
             let ingest = self.ingest.lock().unwrap_or_else(|e| e.into_inner());
-            let staged = ingest
+            let mut tails: Vec<Entry> = ingest
                 .staging
                 .iter()
                 .filter(|e| sel.matches(&e.key) && e.chunk.overlaps(t_from_ns, t_to_ns))
                 .cloned()
                 .collect();
-            let heads = ingest
-                .heads
-                .iter()
-                .filter(|(k, h)| sel.matches(k) && !h.samples.is_empty())
-                .map(|(k, h)| (k.clone(), h.semantics, h.samples.clone()))
-                .collect();
-            (staged, heads)
+            for h in ingest.heads.values() {
+                if sel.matches(&h.key) && !h.enc.is_empty() {
+                    tails.push(Entry {
+                        key: Arc::clone(&h.key),
+                        semantics: h.semantics,
+                        chunk: h.enc.chunk()?,
+                    });
+                }
+            }
+            tails
         };
         let segments = self.segments();
 
@@ -421,11 +410,8 @@ impl Store {
                 }
             }
         }
-        for e in &staged {
+        for e in &tails {
             push(&e.key, e.semantics, &e.chunk.samples()?);
-        }
-        for (key, semantics, samples) in &heads {
-            push(key, *semantics, samples);
         }
 
         let mut result: Vec<SeriesData> = out.into_values().collect();
@@ -466,7 +452,8 @@ impl Store {
         };
         // Gather surviving samples per series, in time order (segments
         // are ordered, chunks within a series too).
-        let mut survivors: BTreeMap<SeriesKey, (ExportSemantics, Vec<Sample>)> = BTreeMap::new();
+        let mut survivors: BTreeMap<Arc<SeriesKey>, (ExportSemantics, Vec<Sample>)> =
+            BTreeMap::new();
         for seg in before.iter() {
             for e in &seg.entries {
                 if e.chunk.max_t() < cutoff {
@@ -505,14 +492,7 @@ impl Store {
             *pending_bytes = 0;
             let name = format!("seg-{:08}c.pseg", *seq);
             *seq += 1;
-            let bytes = segment::encode(&entries);
-            let len = bytes.len();
-            self.fs.create(&name, bytes)?;
-            segments.push(Arc::new(Segment {
-                file: name,
-                bytes: len,
-                entries,
-            }));
+            segments.push(Arc::new(segment::write(&self.fs, name, entries)?));
             Ok(())
         };
         for (key, (semantics, samples)) in survivors {
@@ -521,7 +501,7 @@ impl Store {
                 stats.chunks_rewritten += 1;
                 pending_bytes += chunk.bytes().len();
                 pending.push(Entry {
-                    key: key.clone(),
+                    key: Arc::clone(&key),
                     semantics,
                     chunk,
                 });
@@ -680,6 +660,66 @@ mod tests {
         assert!(stats.chunks_rewritten < 8, "{stats:?}");
         let after = store.query(&Selector::metric("m.d"), 0, u64::MAX).unwrap();
         assert_eq!(before, after);
+    }
+
+    /// True when `chunk`'s bytes lie inside `file`'s buffer.
+    fn borrows_from(chunk: &chunk::Chunk, file: &Arc<[u8]>) -> bool {
+        let (f, c) = (file.as_ptr_range(), chunk.bytes().as_ptr_range());
+        f.start <= c.start && c.end <= f.end
+    }
+
+    /// Every chunk of every published segment reads its bytes from that
+    /// segment's file, and all chunks of one series share one key.
+    fn assert_segments_borrow_their_files(store: &Store, path: &str) {
+        let segments = store.segments();
+        assert!(!segments.is_empty(), "{path}: nothing published");
+        let mut keys: BTreeMap<SeriesKey, Arc<SeriesKey>> = BTreeMap::new();
+        for seg in segments.iter() {
+            let file = store.fs().read(&seg.file).unwrap();
+            for e in &seg.entries {
+                assert!(borrows_from(&e.chunk, &file), "{path}: {}", seg.file);
+                let first = keys
+                    .entry((*e.key).clone())
+                    .or_insert_with(|| e.key.clone());
+                assert!(Arc::ptr_eq(first, &e.key), "{path}: {} key copied", e.key);
+            }
+        }
+    }
+
+    #[test]
+    fn published_chunks_borrow_their_segment_file() {
+        let store = Store::new(StoreConfig {
+            chunk_samples: 8,
+            segment_bytes: 64,
+            retention_ns: None,
+        });
+        let (a, b) = (key("m.e"), key("m.f"));
+        for i in 1..=100u64 {
+            store
+                .ingest(&a, ExportSemantics::Counter, i * 1_000, i)
+                .unwrap();
+            store
+                .ingest(&b, ExportSemantics::Instant, i * 1_000, i * i)
+                .unwrap();
+        }
+        store.flush().unwrap();
+        assert_segments_borrow_their_files(&store, "flush");
+        let before = store.query(&Selector::metric("m.*"), 0, u64::MAX).unwrap();
+
+        store.compact(u64::MAX).unwrap();
+        assert_segments_borrow_their_files(&store, "compact");
+        let after = store.query(&Selector::metric("m.*"), 0, u64::MAX).unwrap();
+        assert_eq!(before, after);
+
+        for seg in store.segments().iter() {
+            let file = store.fs().read(&seg.file).unwrap();
+            let back = segment::decode(&seg.file, &file).unwrap();
+            assert_eq!(back.entries.len(), seg.entries.len());
+            for (d, e) in back.entries.iter().zip(&seg.entries) {
+                assert!(borrows_from(&d.chunk, &file), "decode: {}", seg.file);
+                assert_eq!((&d.key, &d.chunk), (&e.key, &e.chunk));
+            }
+        }
     }
 
     #[test]

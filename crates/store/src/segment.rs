@@ -17,6 +17,11 @@
 //! in-memory form ([`Segment`]) carries each entry's `[min_t, max_t]`
 //! bounds — re-derived from the chunk payloads at open, so a corrupt
 //! file is rejected at the door rather than at query time.
+//!
+//! In both directions — [`write()`] for a segment the engine publishes,
+//! [`decode`] for a file read back — every entry's chunk borrows its
+//! bytes from the file's `Arc<[u8]>`: the file is the only resident
+//! copy of its samples.
 
 use std::sync::Arc;
 
@@ -24,6 +29,7 @@ use obs::metrics::ExportSemantics;
 
 use crate::chunk::{get_varint, put_varint, Chunk};
 use crate::index::SeriesKey;
+use crate::memfs::MemFs;
 use crate::StoreError;
 
 const MAGIC: &[u8; 4] = b"PSEG";
@@ -32,8 +38,9 @@ const VERSION: u8 = 1;
 /// One chunk of one series inside a segment.
 #[derive(Clone, Debug)]
 pub struct Entry {
-    /// Identity of the series this chunk belongs to.
-    pub key: SeriesKey,
+    /// Identity of the series this chunk belongs to, shared by every
+    /// chunk of the series (and its ingest head) in one store.
+    pub key: Arc<SeriesKey>,
     /// Counter or instant semantics, preserved for derivations.
     pub semantics: ExportSemantics,
     /// The compressed samples.
@@ -109,6 +116,33 @@ fn semantics_from(b: u8) -> Result<ExportSemantics, StoreError> {
 
 /// Encode `entries` into segment file bytes.
 pub fn encode(entries: &[Entry]) -> Vec<u8> {
+    encode_at(entries).0
+}
+
+/// Create file `name` on `fs` holding `entries` and return the segment,
+/// its chunks rebased onto the file's bytes so nothing is held twice.
+pub fn write(fs: &MemFs, name: String, entries: Vec<Entry>) -> Result<Segment, StoreError> {
+    let (bytes, offsets) = encode_at(&entries);
+    let len = bytes.len();
+    let file = fs.create(&name, bytes)?;
+    let entries = entries
+        .into_iter()
+        .zip(offsets)
+        .map(|(e, at)| Entry {
+            chunk: e.chunk.rebased(&file, at),
+            ..e
+        })
+        .collect();
+    Ok(Segment {
+        file: name,
+        bytes: len,
+        entries,
+    })
+}
+
+/// [`encode`], also returning where each entry's chunk payload starts.
+fn encode_at(entries: &[Entry]) -> (Vec<u8>, Vec<usize>) {
+    let mut offsets = Vec::with_capacity(entries.len());
     let mut out = Vec::with_capacity(64 * entries.len() + 16);
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
@@ -122,9 +156,10 @@ pub fn encode(entries: &[Entry]) -> Vec<u8> {
         }
         out.push(semantics_byte(e.semantics));
         put_varint(&mut out, e.chunk.bytes().len() as u64);
+        offsets.push(out.len());
         out.extend_from_slice(e.chunk.bytes());
     }
-    out
+    (out, offsets)
 }
 
 /// Decode a segment file. Every malformation — bad magic, unknown
@@ -168,10 +203,10 @@ pub fn decode(file: &str, bytes: &Arc<[u8]>) -> Result<Segment, StoreError> {
         if end > bytes.len() {
             return Err(StoreError::Corrupt("chunk runs past end of segment"));
         }
-        let chunk = Chunk::from_bytes(bytes[pos..end].to_vec())?;
+        let chunk = Chunk::from_shared(Arc::clone(bytes), pos..end)?;
         pos = end;
         entries.push(Entry {
-            key,
+            key: Arc::new(key),
             semantics,
             chunk,
         });
@@ -199,7 +234,7 @@ mod tests {
             })
             .collect();
         Entry {
-            key: SeriesKey::new(metric).with_label("host", host),
+            key: Arc::new(SeriesKey::new(metric).with_label("host", host)),
             semantics: ExportSemantics::Counter,
             chunk: crate::chunk::encode(&samples).unwrap(),
         }

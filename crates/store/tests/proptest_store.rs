@@ -2,12 +2,14 @@
 //! write→compact→query pipeline must agree with a naive in-memory
 //! reference over randomized series, including values past 2^53 (where
 //! an f64-based codec would silently round) and counter resets landing
-//! mid-chunk.
+//! mid-chunk; and the streaming head encoder must write exactly the
+//! bytes of the batch chunk encoder.
 
 use proptest::prelude::*;
 
 use obs::metrics::ExportSemantics;
 use obs::series::Sample;
+use store::chunk::Encoder;
 use store::{chunk, Selector, SeriesKey, Store, StoreConfig, StoreError};
 
 /// Turn random positive time steps and arbitrary values into a strictly
@@ -23,8 +25,129 @@ fn samples_from(steps: &[(u64, u64)]) -> Vec<Sample> {
         .collect()
 }
 
+/// A strictly increasing run from `start`, one sample per step, cut
+/// short where the next timestamp would overflow `u64`.
+fn run_from(start: u64, steps: &[(u64, u64)]) -> Vec<Sample> {
+    let mut out = vec![Sample {
+        t_ns: start,
+        value: steps.first().map_or(0, |s| s.1),
+    }];
+    for &(dt, value) in steps.iter().skip(1) {
+        let Some(t_ns) = out[out.len() - 1].t_ns.checked_add(dt) else {
+            break;
+        };
+        out.push(Sample { t_ns, value });
+    }
+    out
+}
+
+/// A strategy yielding only `v`.
+fn just(v: u64) -> std::ops::RangeInclusive<u64> {
+    v..=v
+}
+
+/// Start times: zero, anywhere, or just below the top of the range.
+fn start() -> impl Strategy<Value = u64> {
+    prop_oneof![just(0u64), any::<u64>(), (u64::MAX - 10_000)..=u64::MAX]
+}
+
+/// Values: the extremes as often as anything else.
+fn value() -> impl Strategy<Value = u64> {
+    prop_oneof![just(u64::MAX), just(0u64), any::<u64>(), 0u64..4096]
+}
+
+/// Irregular gaps up to the widest a chunk can encode (`i64::MAX`).
+fn gap() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        1u64..16,
+        1u64..1_000_000_000,
+        1u64..=i64::MAX as u64,
+        just(i64::MAX as u64),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The streaming encoder is byte-identical to the batch encoder on
+    /// any run, and fails with the same error where the batch encoder
+    /// does (a gap past `i64::MAX`).
+    #[test]
+    fn streaming_encoder_writes_the_batch_encoders_bytes(
+        start in start(),
+        steps in prop::collection::vec(
+            (prop_oneof![gap(), just(i64::MAX as u64 + 1), just(u64::MAX)], value()),
+            1..300,
+        ),
+    ) {
+        let samples = run_from(start, &steps);
+        let mut enc = Encoder::default();
+        let streamed = samples.iter().try_for_each(|s| enc.push(s.t_ns, s.value));
+        match chunk::encode(&samples) {
+            Ok(reference) => {
+                prop_assert_eq!(streamed, Ok(()));
+                let sealed = enc.seal().expect("non-empty encoder seals");
+                prop_assert_eq!(sealed.bytes(), reference.bytes());
+                prop_assert_eq!(&sealed, &reference);
+                prop_assert_eq!(sealed.samples().expect("own bytes decode"), samples);
+                prop_assert!(enc.is_empty());
+            }
+            Err(e) => prop_assert_eq!(streamed, Err(e)),
+        }
+    }
+
+    /// Through the engine: every sealed chunk is byte-equal to the
+    /// batch encoding of its slice of the run, for any chunk size, and
+    /// queries over open heads (alone, or with staged chunks) return
+    /// exactly the reference samples in the window.
+    #[test]
+    fn sealed_heads_match_batch_chunks_and_queries_see_head_samples(
+        start in start(),
+        steps in prop::collection::vec((gap(), value()), 1..200),
+        chunk_samples in 2usize..48,
+        window in (any::<u64>(), any::<u64>()),
+    ) {
+        let reference = run_from(start, &steps);
+        let store = Store::new(StoreConfig {
+            chunk_samples,
+            segment_bytes: usize::MAX, // nothing reaches a segment before flush
+            retention_ns: None,
+        });
+        let key = SeriesKey::new("prop.head");
+        for s in &reference {
+            store.ingest(&key, ExportSemantics::Counter, s.t_ns, s.value).expect("in-order ingest");
+        }
+        let sel = Selector::metric("prop.head");
+        let in_window = |from: u64, to: u64| -> Vec<Sample> {
+            reference.iter().filter(|s| s.t_ns >= from && s.t_ns <= to).copied().collect()
+        };
+        let query = |from: u64, to: u64| -> Vec<Sample> {
+            let got = store.query(&sel, from, to).expect("query");
+            got.first().map(|d| d.samples.clone()).unwrap_or_default()
+        };
+
+        // Only the open head overlaps [first head sample, MAX].
+        let head_start = reference.len() / chunk_samples * chunk_samples;
+        if let Some(first) = reference.get(head_start) {
+            prop_assert_eq!(query(first.t_ns, u64::MAX), in_window(first.t_ns, u64::MAX));
+        }
+        let (from, to) = (window.0.min(window.1), window.0.max(window.1));
+        prop_assert_eq!(query(from, to), in_window(from, to));
+        prop_assert_eq!(query(0, u64::MAX), reference.clone());
+
+        store.flush().expect("flush");
+        let segments = store.segments();
+        let sealed: Vec<&chunk::Chunk> =
+            segments.iter().flat_map(|seg| seg.entries.iter().map(|e| &e.chunk)).collect();
+        let slices: Vec<&[Sample]> = reference.chunks(chunk_samples).collect();
+        prop_assert_eq!(sealed.len(), slices.len());
+        for (got, slice) in sealed.iter().zip(slices) {
+            let want = chunk::encode(slice).expect("ordered slice encodes");
+            prop_assert_eq!(got.bytes(), want.bytes());
+            prop_assert_eq!(got.samples().expect("sealed chunk decodes"), slice.to_vec());
+        }
+        prop_assert_eq!(query(0, u64::MAX), reference);
+    }
 
     /// Chunk encode→decode is the identity on any strictly ordered run,
     /// over the full u64 value range — delta-of-delta + XOR varints are
